@@ -204,6 +204,11 @@ struct AdversarialCase {
   double tol;
 };
 
+// Without this, gtest prints the parameter as a raw byte dump that includes
+// the two pointers above; under ASLR those bytes change from run to run, and
+// so do the test names that gtest_discover_tests registers with ctest.
+void PrintTo(const AdversarialCase& c, std::ostream* os) { *os << c.name; }
+
 // Beale's classic cycling example: the Dantzig rule cycles forever on this
 // degenerate LP; termination requires the anti-cycling (Bland) fallback.
 Model bealeCycling() {
