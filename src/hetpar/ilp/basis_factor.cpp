@@ -1,8 +1,10 @@
 #include "hetpar/ilp/basis_factor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace hetpar::ilp {
 
@@ -153,8 +155,116 @@ class DenseInverseFactor final : public BasisFactor {
 // Sparse LU with Markowitz pivot selection + product-form eta updates
 // ---------------------------------------------------------------------------
 
+/// Active basis slots bucketed by their current column count: one bitset of
+/// slots per count. Reading buckets in count order and each bitset in word
+/// order yields slots in (count, index) order, so the Markowitz candidates
+/// come from a few word scans instead of a pass over every slot.
+class CountBuckets {
+ public:
+  void reset(int m, int maxCount) {
+    words_ = (m + 63) / 64;
+    numBuckets_ = maxCount + 1;
+    bits_.assign(static_cast<std::size_t>(numBuckets_) * words_, 0);
+    size_.assign(static_cast<std::size_t>(numBuckets_), 0);
+  }
+
+  void insert(int slot, int count) {
+    if (count >= numBuckets_) grow(count);
+    bits_[index(slot, count)] |= bit(slot);
+    ++size_[static_cast<std::size_t>(count)];
+  }
+
+  void erase(int slot, int count) {
+    bits_[index(slot, count)] &= ~bit(slot);
+    --size_[static_cast<std::size_t>(count)];
+  }
+
+  void move(int slot, int from, int to) {
+    erase(slot, from);
+    insert(slot, to);
+  }
+
+  /// Replaces `out` with the first `want` slots in (count, index) order;
+  /// the buckets must hold at least `want` slots.
+  void lowest(std::size_t want, std::vector<int>& out) const {
+    out.clear();
+    for (int count = 0; out.size() < want && count < numBuckets_; ++count) {
+      if (size_[static_cast<std::size_t>(count)] == 0) continue;
+      const std::uint64_t* words = &bits_[static_cast<std::size_t>(count) * words_];
+      for (int w = 0; w < words_ && out.size() < want; ++w) {
+        for (std::uint64_t x = words[w]; x != 0 && out.size() < want; x &= x - 1)
+          out.push_back(w * 64 + std::countr_zero(x));
+      }
+    }
+  }
+
+ private:
+  int words_ = 0;
+  int numBuckets_ = 0;
+  std::vector<std::uint64_t> bits_;  // bucket-major, words_ words per bucket
+  std::vector<int> size_;            // slots per bucket
+
+  std::size_t index(int slot, int count) const {
+    return static_cast<std::size_t>(count) * words_ + static_cast<std::size_t>(slot / 64);
+  }
+  static std::uint64_t bit(int slot) { return std::uint64_t{1} << (slot % 64); }
+  void grow(int count) {
+    numBuckets_ = std::max(count + 1, 2 * numBuckets_);
+    bits_.resize(static_cast<std::size_t>(numBuckets_) * words_, 0);
+    size_.resize(static_cast<std::size_t>(numBuckets_), 0);
+  }
+};
+
+}  // namespace
+
+struct FactorWorkspace {
+  // Working matrix, row-wise. Entries are (slot, value); rows are original
+  // constraint rows. colRows tracks candidate rows per slot (may go stale
+  // after eliminations; stale hits are filtered through the row scan).
+  std::vector<std::vector<std::pair<int, double>>> rows;
+  std::vector<std::vector<int>> colRows;
+  std::vector<int> colCount;
+  std::vector<std::uint8_t> rowActive, colActive;
+  // Sparse row combination: value + presence per slot, and the output row
+  // (copied into the target, so each row's buffer only ever grows to that
+  // row's own longest length).
+  std::vector<double> accum;
+  std::vector<std::uint8_t> present;
+  std::vector<std::pair<int, double>> combined;
+  CountBuckets buckets;
+  std::vector<int> slotOrder;  // per-step Markowitz candidates
+  std::vector<int> slotStep;   // basis slot -> elimination step
+
+  /// Sizes every per-row/per-slot array for an m-row basis and empties the
+  /// working matrix, keeping the inner vectors' capacity.
+  void reset(int m) {
+    const auto size = static_cast<std::size_t>(m);
+    if (rows.size() < size) rows.resize(size);
+    if (colRows.size() < size) colRows.resize(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      rows[i].clear();
+      colRows[i].clear();
+    }
+    colCount.assign(size, 0);
+    rowActive.assign(size, 1);
+    colActive.assign(size, 1);
+    accum.assign(size, 0.0);
+    present.assign(size, 0);
+  }
+};
+
+std::shared_ptr<FactorWorkspace> makeFactorWorkspace() {
+  return std::make_shared<FactorWorkspace>();
+}
+
+namespace {
+
 class SparseLuFactor final : public BasisFactor {
  public:
+  explicit SparseLuFactor(std::shared_ptr<FactorWorkspace> workspace)
+      : ws_(std::move(workspace)) {}
+
+  /// The clone shares this factor's workspace (see FactorWorkspace).
   std::unique_ptr<BasisFactor> clone() const override {
     return std::make_unique<SparseLuFactor>(*this);
   }
@@ -189,6 +299,7 @@ class SparseLuFactor final : public BasisFactor {
     std::vector<std::pair<int, double>> col;
   };
 
+  std::shared_ptr<FactorWorkspace> ws_;
   int m_ = 0;
   std::vector<int> prow_, pcol_;  // per elimination step: pivot row / slot
   std::vector<LEntry> lEntries_;  // grouped by step
@@ -224,12 +335,21 @@ bool SparseLuFactor::factorize(const std::vector<std::vector<std::pair<int, doub
   ucols_.assign(static_cast<std::size_t>(m), {});
   udiag_.assign(static_cast<std::size_t>(m), 0.0);
 
-  // Working matrix, row-wise. Entries are (slot, value); rows are original
-  // constraint rows. colRows tracks candidate rows per slot (may go stale
-  // after eliminations; stale hits are filtered through rowValue).
-  std::vector<std::vector<std::pair<int, double>>> rows(static_cast<std::size_t>(m));
-  std::vector<std::vector<int>> colRows(static_cast<std::size_t>(m));
-  std::vector<int> colCount(static_cast<std::size_t>(m), 0);
+  if (ws_ == nullptr) ws_ = makeFactorWorkspace();
+  FactorWorkspace& ws = *ws_;
+  ws.reset(m);
+  auto& rows = ws.rows;
+  auto& colRows = ws.colRows;
+  auto& colCount = ws.colCount;
+  auto& rowActive = ws.rowActive;
+  auto& colActive = ws.colActive;
+  auto& accum = ws.accum;
+  auto& present = ws.present;
+  auto& combined = ws.combined;
+  auto& buckets = ws.buckets;
+  auto& slotOrder = ws.slotOrder;
+
+  int maxCount = 0;
   for (int slot = 0; slot < m; ++slot) {
     const int j = basic[static_cast<std::size_t>(slot)];
     for (const auto& [row, coef] : cols[static_cast<std::size_t>(j)]) {
@@ -238,42 +358,27 @@ bool SparseLuFactor::factorize(const std::vector<std::vector<std::pair<int, doub
       colRows[static_cast<std::size_t>(slot)].push_back(row);
       ++colCount[static_cast<std::size_t>(slot)];
     }
+    maxCount = std::max(maxCount, colCount[static_cast<std::size_t>(slot)]);
   }
-
-  std::vector<bool> rowActive(static_cast<std::size_t>(m), true);
-  std::vector<bool> colActive(static_cast<std::size_t>(m), true);
-  // Scratch for sparse row combination: value + presence per slot.
-  std::vector<double> accum(static_cast<std::size_t>(m), 0.0);
-  std::vector<bool> present(static_cast<std::size_t>(m), false);
-  // Candidate buffer for the per-step Markowitz search: the few active
-  // slots with the smallest column counts, selected by one linear scan
-  // (sorting all slots each step costs O(m^2 log m) per refactorization and
-  // dominated the whole solve on ~300-row models).
-  std::vector<int> slotOrder;
-  slotOrder.reserve(static_cast<std::size_t>(kMarkowitzSearchCap));
+  buckets.reset(m, maxCount);
+  for (int slot = 0; slot < m; ++slot) buckets.insert(slot, colCount[static_cast<std::size_t>(slot)]);
+  // Every count change of an active slot goes through here so the buckets
+  // track colCount exactly.
+  auto adjustCount = [&](int slot, int delta) {
+    int& count = colCount[static_cast<std::size_t>(slot)];
+    buckets.move(slot, count, count + delta);
+    count += delta;
+  };
 
   auto rowCount = [&](int row) {
     return static_cast<int>(rows[static_cast<std::size_t>(row)].size());
   };
 
   for (int step = 0; step < m; ++step) {
-    // --- Markowitz pivot search over the few minimum-count columns:
-    // insertion-select up to kMarkowitzSearchCap active slots by count.
-    slotOrder.clear();
-    for (int s = 0; s < m; ++s) {
-      if (!colActive[static_cast<std::size_t>(s)]) continue;
-      const int count = colCount[static_cast<std::size_t>(s)];
-      std::size_t pos = slotOrder.size();
-      while (pos > 0 &&
-             colCount[static_cast<std::size_t>(slotOrder[pos - 1])] > count)
-        --pos;
-      if (pos >= static_cast<std::size_t>(kMarkowitzSearchCap)) continue;
-      if (slotOrder.size() < static_cast<std::size_t>(kMarkowitzSearchCap))
-        slotOrder.push_back(s);
-      std::copy_backward(slotOrder.begin() + static_cast<std::ptrdiff_t>(pos),
-                         slotOrder.end() - 1, slotOrder.end());
-      slotOrder[pos] = s;
-    }
+    // --- Markowitz pivot search over the few minimum-count columns: the
+    // first kMarkowitzSearchCap active slots in (count, index) order.
+    buckets.lowest(std::min<std::size_t>(kMarkowitzSearchCap, static_cast<std::size_t>(m - step)),
+                   slotOrder);
 
     int bestRow = -1, bestSlot = -1;
     double bestValue = 0.0;
@@ -331,16 +436,18 @@ bool SparseLuFactor::factorize(const std::vector<std::vector<std::pair<int, doub
 
     prow_[static_cast<std::size_t>(step)] = bestRow;
     pcol_[static_cast<std::size_t>(step)] = bestSlot;
-    rowActive[static_cast<std::size_t>(bestRow)] = false;
-    colActive[static_cast<std::size_t>(bestSlot)] = false;
+    rowActive[static_cast<std::size_t>(bestRow)] = 0;
+    colActive[static_cast<std::size_t>(bestSlot)] = 0;
+    buckets.erase(bestSlot, colCount[static_cast<std::size_t>(bestSlot)]);
 
     // Freeze the pivot row as U row `step`.
     udiag_[static_cast<std::size_t>(step)] = bestValue;
     auto& urow = urows_[static_cast<std::size_t>(step)];
+    urow.reserve(rows[static_cast<std::size_t>(bestRow)].size() - 1);  // exact
     for (const auto& [s, v] : rows[static_cast<std::size_t>(bestRow)]) {
       if (s == bestSlot) continue;
       urow.emplace_back(s, v);
-      --colCount[static_cast<std::size_t>(s)];
+      adjustCount(s, -1);
     }
     --colCount[static_cast<std::size_t>(bestSlot)];
 
@@ -367,26 +474,25 @@ bool SparseLuFactor::factorize(const std::vector<std::vector<std::pair<int, doub
       // target -= mult * pivotRow (sparse combine through the scratch).
       for (const auto& [s, v] : target) {
         accum[static_cast<std::size_t>(s)] = v;
-        present[static_cast<std::size_t>(s)] = true;
+        present[static_cast<std::size_t>(s)] = 1;
       }
       for (const auto& [s, v] : pivotRow) {
         if (!present[static_cast<std::size_t>(s)]) {
-          present[static_cast<std::size_t>(s)] = true;
+          present[static_cast<std::size_t>(s)] = 1;
           accum[static_cast<std::size_t>(s)] = -mult * v;
           if (s != bestSlot && colActive[static_cast<std::size_t>(s)]) {
             // Fill-in: register the row under the new column.
             colRows[static_cast<std::size_t>(s)].push_back(row);
-            ++colCount[static_cast<std::size_t>(s)];
+            adjustCount(s, +1);
           }
         } else {
           accum[static_cast<std::size_t>(s)] -= mult * v;
         }
       }
-      std::vector<std::pair<int, double>> combined;
-      combined.reserve(target.size() + pivotRow.size());
+      combined.clear();
       auto consider = [&](int s) {
         if (!present[static_cast<std::size_t>(s)]) return;
-        present[static_cast<std::size_t>(s)] = false;
+        present[static_cast<std::size_t>(s)] = 0;
         const double v = accum[static_cast<std::size_t>(s)];
         accum[static_cast<std::size_t>(s)] = 0.0;
         if (s == bestSlot) {
@@ -394,22 +500,22 @@ bool SparseLuFactor::factorize(const std::vector<std::vector<std::pair<int, doub
           return;  // eliminated by construction
         }
         if (std::fabs(v) <= dropBelow) {
-          if (colActive[static_cast<std::size_t>(s)])
-            --colCount[static_cast<std::size_t>(s)];
+          if (colActive[static_cast<std::size_t>(s)]) adjustCount(s, -1);
           return;
         }
         combined.emplace_back(s, v);
       };
       for (const auto& [s, v] : target) consider(s);
       for (const auto& [s, v] : pivotRow) consider(s);
-      target = std::move(combined);
+      target.assign(combined.begin(), combined.end());
     }
   }
   lStart_[static_cast<std::size_t>(m)] = static_cast<int>(lEntries_.size());
 
   // Column-wise U view for BTRAN's forward substitution. slotStep maps a
   // basis slot to the elimination step that pivoted it.
-  std::vector<int> slotStep(static_cast<std::size_t>(m), -1);
+  std::vector<int>& slotStep = ws.slotStep;
+  slotStep.assign(static_cast<std::size_t>(m), -1);
   for (int k = 0; k < m; ++k) slotStep[static_cast<std::size_t>(pcol_[static_cast<std::size_t>(k)])] = k;
   for (int k = 0; k < m; ++k) {
     for (const auto& [slot, v] : urows_[static_cast<std::size_t>(k)])
@@ -491,6 +597,12 @@ bool SparseLuFactor::update(int r, const std::vector<double>& w) {
   eta.slot = r;
   eta.pivot = pivot;
   const double dropBelow = kDropTol * std::fabs(pivot);
+  // Sized exactly: the eta file is the factor's largest part, and growing
+  // each eta by doubling would leave up to half of it as slack.
+  std::size_t kept = 0;
+  for (int i = 0; i < m_; ++i)
+    if (i != r && std::fabs(w[static_cast<std::size_t>(i)]) > dropBelow) ++kept;
+  eta.col.reserve(kept);
   for (int i = 0; i < m_; ++i) {
     if (i == r) continue;
     const double x = w[static_cast<std::size_t>(i)];
@@ -505,9 +617,10 @@ bool SparseLuFactor::update(int r, const std::vector<double>& w) {
 
 }  // namespace
 
-std::unique_ptr<BasisFactor> makeBasisFactor(SolverEngine engine) {
+std::unique_ptr<BasisFactor> makeBasisFactor(SolverEngine engine,
+                                             std::shared_ptr<FactorWorkspace> workspace) {
   if (engine == SolverEngine::Dense) return std::make_unique<DenseInverseFactor>();
-  return std::make_unique<SparseLuFactor>();
+  return std::make_unique<SparseLuFactor>(std::move(workspace));
 }
 
 }  // namespace hetpar::ilp

@@ -96,7 +96,19 @@ class BasisFactor {
   FactorStats stats_;
 };
 
-/// Factory keyed on the engine flag in SolveOptions.
-std::unique_ptr<BasisFactor> makeBasisFactor(SolverEngine engine);
+/// Elimination scratch of the sparse LU (working rows, per-slot row lists,
+/// column-count buckets), kept so that repeated factorizations reuse its
+/// capacity instead of reallocating it. One solver owns one workspace and
+/// hands it to every factor it creates; clones share it. Factors sharing a
+/// workspace must therefore never factorize concurrently, which is why it
+/// is owned per solver (BoundedSimplex) and never static or thread_local.
+struct FactorWorkspace;
+std::shared_ptr<FactorWorkspace> makeFactorWorkspace();
+
+/// Factory keyed on the engine flag in SolveOptions. The sparse engine uses
+/// `workspace` when given and allocates a private one otherwise; the dense
+/// engine ignores it.
+std::unique_ptr<BasisFactor> makeBasisFactor(SolverEngine engine,
+                                             std::shared_ptr<FactorWorkspace> workspace = nullptr);
 
 }  // namespace hetpar::ilp

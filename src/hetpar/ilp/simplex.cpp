@@ -16,6 +16,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 enum class ColStatus : std::uint8_t { AtLower, AtUpper, Basic, Free };
 
+using Column = std::vector<std::pair<int, double>>;
+
 /// Full simplex working state. One instance per `solve` call.
 struct Tableau {
   int m = 0;            // rows
@@ -23,7 +25,11 @@ struct Tableau {
   int total = 0;        // n + m (artificials appended)
   const LpProblem* lp = nullptr;
 
-  std::vector<std::vector<std::pair<int, double>>> cols;  // incl. artificials
+  // Columns incl. artificials: the caller's prepared unit artificials, or
+  // signedCols when init() negates some of them. `cols` may then point into
+  // this object, so a Tableau is never moved from after init().
+  const std::vector<Column>* cols = nullptr;
+  std::vector<Column> signedCols;
   std::vector<double> lower, upper;                       // incl. artificials
   std::vector<double> costPhase2;                         // incl. artificials (0)
 
@@ -34,19 +40,20 @@ struct Tableau {
   std::vector<double> xB;             // values of basic variables
 
   SolverEngine engine = SolverEngine::Revised;
+  std::shared_ptr<FactorWorkspace> workspace;  // handed to every new factor
   std::unique_ptr<BasisFactor> factor;  // basis representation (LU or dense)
   int pricingCursor = 0;                // partial-pricing scan position
 
   double tol;
   long long iterations = 0;
 
-  void init(const LpProblem& problem, double tolerance);
+  void init(const LpProblem& problem, const LpColumns& columns, double tolerance);
   /// Seeds statuses/basis from `warm` instead of the artificial basis.
   /// Returns false on structural mismatch or a singular basis.
   /// `readyFactor` (optional) supplies a factorization of exactly this
   /// basis, skipping the refactorization.
-  bool initFromBasis(const LpProblem& problem, double tolerance, const SimplexBasis& warm,
-                     const BasisFactor* readyFactor);
+  bool initFromBasis(const LpProblem& problem, const LpColumns& columns, double tolerance,
+                     const SimplexBasis& warm, const BasisFactor* readyFactor);
   /// Drives a warm-started (possibly bound-violating) basis to primal
   /// feasibility by temporarily relaxing the violated variables' bounds.
   /// Optimal = feasible now; Infeasible = proven empty; IterationLimit =
@@ -59,17 +66,17 @@ struct Tableau {
                     bool phase1);
   double primalInfeasibility() const;
   void extractSolution(std::vector<double>& x) const;
+  const Column& col(int j) const { return (*cols)[static_cast<std::size_t>(j)]; }
 };
 
-void Tableau::init(const LpProblem& problem, double tolerance) {
+void Tableau::init(const LpProblem& problem, const LpColumns& columns, double tolerance) {
   lp = &problem;
   tol = tolerance;
   m = problem.numRows;
   n = problem.numCols;
   total = n + m;
 
-  cols = problem.cols;
-  cols.resize(static_cast<std::size_t>(total));
+  cols = &columns.cols;
   lower = problem.lower;
   upper = problem.upper;
   lower.resize(static_cast<std::size_t>(total), 0.0);
@@ -102,14 +109,20 @@ void Tableau::init(const LpProblem& problem, double tolerance) {
   for (int j = 0; j < n; ++j) {
     const double v = nonbasicValue[j];
     if (v == 0.0) continue;
-    for (const auto& [row, coef] : cols[j]) residual[static_cast<std::size_t>(row)] -= coef * v;
+    for (const auto& [row, coef] : col(j)) residual[static_cast<std::size_t>(row)] -= coef * v;
   }
 
   // One artificial per row, signed so its starting (basic) value is >= 0.
+  // Only a negative residual needs its own copy of the columns.
   for (int i = 0; i < m; ++i) {
     const int aj = n + i;
-    const double sign = residual[static_cast<std::size_t>(i)] >= 0.0 ? 1.0 : -1.0;
-    cols[static_cast<std::size_t>(aj)] = {{i, sign}};
+    if (!(residual[static_cast<std::size_t>(i)] >= 0.0)) {
+      if (cols != &signedCols) {
+        signedCols = columns.cols;
+        cols = &signedCols;
+      }
+      signedCols[static_cast<std::size_t>(aj)] = {{i, -1.0}};
+    }
     lower[static_cast<std::size_t>(aj)] = 0.0;
     upper[static_cast<std::size_t>(aj)] = kInf;
     status[static_cast<std::size_t>(aj)] = ColStatus::Basic;
@@ -117,12 +130,13 @@ void Tableau::init(const LpProblem& problem, double tolerance) {
     basicPos[static_cast<std::size_t>(aj)] = i;
     xB[static_cast<std::size_t>(i)] = std::fabs(residual[static_cast<std::size_t>(i)]);
   }
-  factor = makeBasisFactor(engine);
-  factor->factorize(cols, basic, m);  // diagonal basis: cannot fail
+  factor = makeBasisFactor(engine, workspace);
+  factor->factorize(*cols, basic, m);  // diagonal basis: cannot fail
 }
 
-bool Tableau::initFromBasis(const LpProblem& problem, double tolerance,
-                            const SimplexBasis& warm, const BasisFactor* readyFactor) {
+bool Tableau::initFromBasis(const LpProblem& problem, const LpColumns& columns,
+                            double tolerance, const SimplexBasis& warm,
+                            const BasisFactor* readyFactor) {
   lp = &problem;
   tol = tolerance;
   m = problem.numRows;
@@ -131,8 +145,8 @@ bool Tableau::initFromBasis(const LpProblem& problem, double tolerance,
   if (static_cast<int>(warm.basicCols.size()) != m) return false;
   if (static_cast<int>(warm.atUpper.size()) != n) return false;
 
-  cols = problem.cols;
-  cols.resize(static_cast<std::size_t>(total));
+  // Artificial columns exist for layout compatibility but stay fixed at 0.
+  cols = &columns.cols;
   lower = problem.lower;
   upper = problem.upper;
   lower.resize(static_cast<std::size_t>(total), 0.0);
@@ -145,10 +159,6 @@ bool Tableau::initFromBasis(const LpProblem& problem, double tolerance,
   basic.assign(static_cast<std::size_t>(m), -1);
   basicPos.assign(static_cast<std::size_t>(total), -1);
   xB.assign(static_cast<std::size_t>(m), 0.0);
-
-  // Artificial columns exist for layout compatibility but stay fixed at 0.
-  for (int i = 0; i < m; ++i)
-    cols[static_cast<std::size_t>(n + i)] = {{i, 1.0}};
 
   for (int i = 0; i < m; ++i) {
     const int j = warm.basicCols[static_cast<std::size_t>(i)];
@@ -186,7 +196,7 @@ bool Tableau::initFromBasis(const LpProblem& problem, double tolerance,
     recomputeBasicValues();
     return true;
   }
-  factor = makeBasisFactor(engine);
+  factor = makeBasisFactor(engine, workspace);
   if (!refactorize()) return false;
   return true;
 }
@@ -278,14 +288,14 @@ void Tableau::recomputeBasicValues() {
     if (status[j] == ColStatus::Basic) continue;
     const double v = nonbasicValue[j];
     if (v == 0.0) continue;
-    for (const auto& [row, coef] : cols[j]) rhs[static_cast<std::size_t>(row)] -= coef * v;
+    for (const auto& [row, coef] : col(j)) rhs[static_cast<std::size_t>(row)] -= coef * v;
   }
   factor->ftran(rhs);  // row-indexed residual in, slot-indexed values out
   xB = std::move(rhs);
 }
 
 bool Tableau::refactorize() {
-  if (!factor->factorize(cols, basic, m)) return false;
+  if (!factor->factorize(*cols, basic, m)) return false;
   recomputeBasicValues();
   return true;
 }
@@ -332,7 +342,7 @@ LpStatus Tableau::runPhase(const std::vector<double>& cost, long long maxIterati
       if (st == ColStatus::Basic) return 0.0;
       if (lower[static_cast<std::size_t>(j)] == upper[static_cast<std::size_t>(j)]) return 0.0;
       double d = cost[static_cast<std::size_t>(j)];
-      for (const auto& [row, coef] : cols[static_cast<std::size_t>(j)])
+      for (const auto& [row, coef] : col(j))
         d -= y[static_cast<std::size_t>(row)] * coef;
       if ((st == ColStatus::AtLower || st == ColStatus::Free) && d < -dualTol) {
         dir = 1.0;
@@ -399,7 +409,7 @@ LpStatus Tableau::runPhase(const std::vector<double>& cost, long long maxIterati
     }
 
     // FTRAN: w = B^{-1} A_entering.
-    factor->ftranColumn(cols[static_cast<std::size_t>(entering)], w);
+    factor->ftranColumn(col(entering), w);
 
     // Harris-style two-pass ratio test. Entering moves by t >= 0 in
     // direction enteringDir; basic variable i changes by
@@ -573,6 +583,15 @@ std::uint64_t lpStructuralDigest(const LpProblem& problem) {
   return h;
 }
 
+LpColumns prepareColumns(const LpProblem& problem) {
+  LpColumns out;
+  out.digest = lpStructuralDigest(problem);
+  out.cols.reserve(static_cast<std::size_t>(problem.numCols + problem.numRows));
+  out.cols.assign(problem.cols.begin(), problem.cols.end());
+  for (int i = 0; i < problem.numRows; ++i) out.cols.push_back({{i, 1.0}});
+  return out;
+}
+
 StandardForm buildLp(const Model& model, const std::vector<double>& lowerOverride,
                      const std::vector<double>& upperOverride) {
   const int numStructural = static_cast<int>(model.numVars());
@@ -621,6 +640,14 @@ StandardForm buildLp(const Model& model, const std::vector<double>& lowerOverrid
 
 LpResult BoundedSimplex::solve(const LpProblem& problem, long long maxIterations,
                                const SimplexBasis* warm, SimplexBasis* basisOut) {
+  return solve(problem, prepareColumns(problem), maxIterations, warm, basisOut);
+}
+
+LpResult BoundedSimplex::solve(const LpProblem& problem, const LpColumns& columns,
+                               long long maxIterations, const SimplexBasis* warm,
+                               SimplexBasis* basisOut) {
+  HETPAR_CHECK(columns.cols.size() ==
+               static_cast<std::size_t>(problem.numCols + problem.numRows));
   LpResult result;
   for (int j = 0; j < problem.numCols; ++j) {
     if (problem.lower[static_cast<std::size_t>(j)] >
@@ -656,10 +683,11 @@ LpResult BoundedSimplex::solve(const LpProblem& problem, long long maxIterations
   if (maxIterations <= 0)
     maxIterations = 20000 + 200LL * (problem.numRows + problem.numCols);
 
-  const std::uint64_t digest = lpStructuralDigest(problem);
+  const std::uint64_t digest = columns.digest;
 
   Tableau t;
   t.engine = engine_;
+  t.workspace = workspace_;
   bool warmed = false;
   if (warm != nullptr && warm->valid()) {
     // Factor-cache hit requires the same matrix (structural digest) and the
@@ -669,7 +697,8 @@ LpResult BoundedSimplex::solve(const LpProblem& problem, long long maxIterations
         cacheFactor_ != nullptr && cacheDigest_ == digest &&
         warm->basicCols.size() == cacheBasic_.size() &&
         std::equal(cacheBasic_.begin(), cacheBasic_.end(), warm->basicCols.begin());
-    warmed = t.initFromBasis(problem, tol_, *warm, cacheHit ? cacheFactor_.get() : nullptr);
+    warmed = t.initFromBasis(problem, columns, tol_, *warm,
+                             cacheHit ? cacheFactor_.get() : nullptr);
     if (warmed) {
       const LpStatus ph1 = t.boundShiftPhase1(maxIterations);
       if (ph1 == LpStatus::Infeasible) {
@@ -685,7 +714,8 @@ LpResult BoundedSimplex::solve(const LpProblem& problem, long long maxIterations
   if (!warmed) {
     t = Tableau{};
     t.engine = engine_;
-    t.init(problem, tol_);
+    t.workspace = workspace_;
+    t.init(problem, columns, tol_);
 
     // Phase 1: minimize the sum of artificial variables.
     std::vector<double> phase1Cost(static_cast<std::size_t>(t.total), 0.0);

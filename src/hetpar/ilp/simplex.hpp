@@ -65,6 +65,18 @@ struct StandardForm {
 StandardForm buildLp(const Model& model, const std::vector<double>& lowerOverride,
                      const std::vector<double>& upperOverride);
 
+/// The matrix-only part of a solve's setup: the structural digest (the
+/// factor-cache key) and the column arrays extended by one unit artificial
+/// column per row. Branch and bound re-solves one matrix under changing
+/// bounds, so it prepares this once per ILP instead of once per node.
+struct LpColumns {
+  std::uint64_t digest = 0;
+  std::vector<std::vector<std::pair<int, double>>> cols;  ///< numCols + numRows
+};
+
+/// Prepares `problem`'s LpColumns; valid for any problem with the same matrix.
+LpColumns prepareColumns(const LpProblem& problem);
+
 /// A compact simplex basis: which columns are basic, and at which bound each
 /// nonbasic column rests. Exported after a solve and fed back as a warm
 /// start for a neighboring problem (same matrix, different bounds) — the
@@ -87,12 +99,19 @@ class BoundedSimplex {
   /// `basisOut` (optional) receives the final basis on optimal solves.
   LpResult solve(const LpProblem& problem, long long maxIterations = 0,
                  const SimplexBasis* warm = nullptr, SimplexBasis* basisOut = nullptr);
+  /// Same, with the matrix setup prepared by the caller: `columns` must come
+  /// from `prepareColumns` on a problem with this problem's matrix.
+  LpResult solve(const LpProblem& problem, const LpColumns& columns,
+                 long long maxIterations = 0, const SimplexBasis* warm = nullptr,
+                 SimplexBasis* basisOut = nullptr);
 
   SolverEngine engine() const { return engine_; }
 
  private:
   double tol_;
   SolverEngine engine_;
+  // LU elimination scratch shared by every factor this solver creates.
+  std::shared_ptr<FactorWorkspace> workspace_ = makeFactorWorkspace();
   // Retained factorization of the last optimal basis (warm-start accelerator
   // for consecutive branch-and-bound node solves). Keyed on the problem's
   // structural digest *and* the basis columns: matrices with equal row
